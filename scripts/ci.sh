@@ -84,6 +84,15 @@ timeout 180 python scripts/obs_gate.py
 timeout 60 python -m repro stats BENCH_serve.json --prom > /dev/null
 timeout 60 python -m repro stats BENCH_net.json > /dev/null
 
+echo "== perfbench traced smoke (correctness gate + traced-vs-untraced check) =="
+# Each traced run fails on any wrong decision, on any decision or
+# counters() difference between its untraced and traced phases, and on
+# explore-125 on any deviation from the explorer's exact counters.
+for workload in serve-125-local serve-227-tcp explore-125; do
+    timeout 300 python3 perfbench/run.py --workload "${workload}" \
+        --seed 7 --seconds 4 --trace 1 > /dev/null
+done
+
 echo "== slow suite (full fuzz budget) =="
 timeout 600 python -m pytest -q -m slow
 

@@ -72,7 +72,8 @@ def _make_transport(name: str) -> Transport:
     if name == "tcp":
         return TcpTransport()
     if name == "local":
-        return LocalBus()
+        # The one caller that wants wire sizes from the in-process bus.
+        return LocalBus(measure_bytes=True)
     raise ValueError(f"unknown transport {name!r}")
 
 
@@ -122,7 +123,7 @@ async def _run_case(
 
     durations: List[float] = []
     fingerprint: Optional[Dict[str, object]] = None
-    frames = frames_batched = nbytes = messages = saved = 0
+    frames = frames_batched = nbytes = messages = 0
     timeouts = retries = 0
     for _ in range(max(1, repeats)):
         outcome = await run_agreement_async(
@@ -143,7 +144,6 @@ async def _run_case(
         frames_batched = metrics.total_frames_batched
         nbytes = metrics.total_bytes
         messages = metrics.total_messages
-        saved = metrics.total_batch_bytes_saved
         timeouts = metrics.total_timeouts
         retries = metrics.total_retries
         fingerprint = _fingerprint(outcome.result, faulty, spec)
@@ -159,7 +159,6 @@ async def _run_case(
         "frames_batched": frames_batched,
         "bytes": nbytes,
         "messages": messages,
-        "batch_bytes_saved": saved,
         "timeouts": timeouts,
         "retries": retries,
         "round_latency_p50": _percentile(durations, 0.50),

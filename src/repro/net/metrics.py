@@ -88,9 +88,6 @@ class RoundMetrics:
     frames_sent: int = 0
     #: BATCH frames among those (0 on the unbatched path).
     frames_batched: int = 0
-    #: Bytes the batch envelope deduplication saved vs one frame per
-    #: message plus a marker (0 for unmeasured transports).
-    batch_bytes_saved: int = 0
     #: Wall-clock seconds from first send to the end of collection.
     duration: float = 0.0
     #: Messages removed by fault adapters before reaching the transport.
@@ -196,14 +193,18 @@ class NetMetrics:
         self.round(round_no).frames_sent += 1
 
     def record_batch(
-        self, round_no: int, n_messages: int, nbytes: int, saved: int
+        self, round_no: int, n_messages: int, nbytes: int, _saved: int = 0
     ) -> None:
+        """One BATCH frame sent; *_saved* is accepted and ignored.
+
+        What batching saves on the wire is the batched-vs-unbatched byte
+        comparison ``repro bench`` reports, not a per-frame estimate.
+        """
         entry = self.round(round_no)
         entry.messages_sent += n_messages
         entry.bytes_sent += nbytes
         entry.frames_sent += 1
         entry.frames_batched += 1
-        entry.batch_bytes_saved += saved
 
     def record_round_duration(self, round_no: int, seconds: float) -> None:
         self.round(round_no).duration = seconds
@@ -360,10 +361,6 @@ class NetMetrics:
     @property
     def total_frames_batched(self) -> int:
         return sum(r.frames_batched for r in self.rounds.values())
-
-    @property
-    def total_batch_bytes_saved(self) -> int:
-        return sum(r.batch_bytes_saved for r in self.rounds.values())
 
     def round_durations(self) -> List[float]:
         """Per-round wall-clock durations, in round order (seconds)."""
@@ -559,8 +556,7 @@ class NetMetrics:
         )
         if self.total_frames_batched:
             lines.append(
-                f"batching: {self.total_frames_batched} batch frame(s), "
-                f"{self.total_batch_bytes_saved} envelope byte(s) saved"
+                f"batching: {self.total_frames_batched} batch frame(s)"
             )
         if self.instances:
             inst_frames = sum(

@@ -152,14 +152,16 @@ class LocalBus(Transport):
     """In-process transport over per-node asyncio queues.
 
     Frames are delivered by reference — the payload object the sender hands
-    over is the object the receiver gets, no serialization on the hot path.
-    Byte accounting is optional (``measure_bytes=True`` runs the codec once
-    per frame purely to size it); switch it off for raw fan-out throughput.
+    over is the object the receiver gets; delivery never serializes.  By
+    default :meth:`send` does no codec work and reports 0 bytes (the
+    "unmeasured" case of the :class:`Transport` contract);
+    ``measure_bytes=True`` runs the codec once per frame purely to size
+    it, for reports that compare wire sizes (``repro bench``).
     """
 
     name = "local"
 
-    def __init__(self, measure_bytes: bool = True) -> None:
+    def __init__(self, measure_bytes: bool = False) -> None:
         self.measure_bytes = measure_bytes
         self._inboxes: Dict[NodeId, "asyncio.Queue[Frame]"] = {}
 

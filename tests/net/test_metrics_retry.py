@@ -287,7 +287,7 @@ class TestNetMetrics:
 
     def test_bytes_and_latencies_recorded(self, spec_1_2):
         nodes = node_names(5)
-        outcome = _run(spec_1_2, nodes, LocalBus())
+        outcome = _run(spec_1_2, nodes, LocalBus(measure_bytes=True))
         assert outcome.metrics.total_bytes > 0
         pct = outcome.metrics.latency_percentiles()
         assert 0.0 <= pct["p50"] <= pct["p99"]

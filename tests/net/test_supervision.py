@@ -221,7 +221,7 @@ class TestHeartbeatFailureDetector:
     def test_dead_link_circuit_breaker_fast_fails_sends(self):
         async def scenario():
             blocked = {"on": True}
-            bus = LocalBus()
+            bus = LocalBus(measure_bytes=True)
             flaky = FlakyTransport(
                 bus,
                 failures=10**9,
