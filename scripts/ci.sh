@@ -9,6 +9,13 @@ export PYTHONPATH="src${PYTHONPATH:+:${PYTHONPATH}}"
 echo "== unit / property / integration tests (tier 1) =="
 python -m pytest -x -q
 
+echo "== cold start (lazy verb imports, stdlib confidence bound) =="
+# --help must run without the analysis verbs or networkx loaded (pinned by
+# tests/test_cold_start.py); report reaches the Clopper-Pearson bound
+# through summarize_confidence.
+python -m repro --help > /dev/null
+python -m repro report > /dev/null
+
 echo "== line-coverage floor (core + verify) =="
 # pytest-cov is an optional extra; the floor is enforced wherever it is
 # installed and skipped (loudly) where it is not, so a bare checkout

@@ -12,15 +12,16 @@ standard quantifications so experiment reports can state them honestly:
   bound below a target;
 * :func:`summarize_confidence` — a sentence for experiment write-ups.
 
-Exact binomial tail inversion via ``scipy.stats.beta`` (the standard
-Clopper-Pearson construction).
+The bound inverts the exact binomial tail with the standard library only:
+for ``k >= 1`` it bisects on ``p`` until ``P(X <= k; n, p) = 1 - confidence``,
+summing the tail in log space (``math.lgamma``, ``math.log1p``,
+``math.fsum``) because exact ``math.comb`` floats overflow near
+``n = 10**5``.  ``k = 0`` keeps its closed form.
 """
 
 from __future__ import annotations
 
 import math
-
-from scipy import stats
 
 from repro.exceptions import AnalysisError
 
@@ -31,15 +32,28 @@ def violation_rate_upper_bound(
     """One-sided Clopper-Pearson upper bound on the violation probability.
 
     With ``n_violations == 0`` the bound is ``1 - (1 - confidence)**(1/n)``
-    (the exact zero-failures formula); in general it is the
-    ``confidence``-quantile of ``Beta(k + 1, n - k)``.
+    (the exact zero-failures formula); in general it is the ``p`` at which
+    the binomial tail ``P(X <= k; n, p)`` falls to ``1 - confidence`` (the
+    ``confidence``-quantile of ``Beta(k + 1, n - k)``), found by bisection.
     """
     _check(n_trials, n_violations, confidence)
-    if n_violations >= n_trials:
+    n, k = n_trials, n_violations
+    if k >= n:
         return 1.0
-    return float(
-        stats.beta.ppf(confidence, n_violations + 1, n_trials - n_violations)
-    )
+    if k == 0:
+        return 1.0 - (1.0 - confidence) ** (1.0 / n)
+    lg = math.lgamma
+    log_comb = [lg(n + 1) - lg(i + 1) - lg(n - i + 1) for i in range(k + 1)]
+
+    def tail(p: float) -> float:  # P(X <= k; n, p), falling in p
+        lp, lq = math.log(p), math.log1p(-p)
+        return math.fsum(math.exp(c + i * lp + (n - i) * lq)
+                         for i, c in enumerate(log_comb))
+
+    lo, hi = 0.0, 1.0  # bisect down to float resolution
+    while lo < (mid := (lo + hi) / 2) < hi:
+        lo, hi = (mid, hi) if tail(mid) > 1.0 - confidence else (lo, mid)
+    return hi
 
 
 def trials_needed(

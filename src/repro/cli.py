@@ -65,28 +65,6 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.analysis.adversary_search import exhaustive_search
-from repro.analysis.charts import bar_chart, log_bar_chart
-from repro.analysis.complexity import byz_complexity, om_complexity
-from repro.analysis.lowerbounds import connectivity_scenarios, run_scenario_triple
-from repro.analysis.reliability import compare_configurations
-from repro.analysis.tables import (
-    render_table,
-    section2_min_nodes_table,
-    seven_node_tradeoff_table,
-)
-from repro.channels.recovery import MissionSimulator
-from repro.channels.system import DegradableChannelSystem
-from repro.core.behavior import (
-    BehaviorMap,
-    ConstantLiar,
-    LieAboutSender,
-    SilentBehavior,
-    TwoFacedBehavior,
-)
-from repro.core.byz import run_degradable_agreement
-from repro.core.conditions import classify
-from repro.core.spec import DegradableSpec
 from repro.exceptions import ReproError
 
 
@@ -455,11 +433,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_table(args) -> int:
+    from repro.analysis.tables import section2_min_nodes_table
+
     print(section2_min_nodes_table())
     return 0
 
 
 def _cmd_tradeoff(args) -> int:
+    from repro.analysis.tables import seven_node_tradeoff_table
+
     print(seven_node_tradeoff_table(args.nodes))
     return 0
 
@@ -471,6 +453,11 @@ def _build_instance(args):
     The ``crash`` adversary maps to no behaviour — the caller realizes it at
     the transport level (omission injector / wire mute).
     """
+    from repro.core import (
+        BehaviorMap, ConstantLiar, DegradableSpec, LieAboutSender,
+        SilentBehavior, TwoFacedBehavior,
+    )
+
     n = args.nodes if args.nodes is not None else 2 * args.m + args.u + 1
     spec = DegradableSpec(m=args.m, u=args.u, n_nodes=n)
     nodes = ["S"] + [f"p{k}" for k in range(1, n)]
@@ -497,6 +484,8 @@ def _build_instance(args):
 
 
 def _cmd_run(args) -> int:
+    from repro.core import classify, run_degradable_agreement
+
     instance = _build_instance(args)
     if instance is None:
         return 2
@@ -543,7 +532,7 @@ def _cmd_run(args) -> int:
 def _cmd_net(args) -> int:
     import asyncio
 
-    from repro.core.protocol import execute_degradable_protocol
+    from repro.core import classify, execute_degradable_protocol
     from repro.net import (
         LocalBus,
         MuteAdapter,
@@ -620,7 +609,7 @@ def _cmd_serve(args) -> int:
     import asyncio
     import random as random_module
 
-    from repro.core.protocol import execute_degradable_protocol
+    from repro.core import DegradableSpec, execute_degradable_protocol
     from repro.net import LocalBus, TcpTransport
     from repro.serve import AgreementService, record_service_run
     from repro.serve.load import VALUES
@@ -821,6 +810,7 @@ def _cmd_trace(args) -> int:
     import random as random_module
     from dataclasses import replace as dc_replace
 
+    from repro.core import DegradableSpec
     from repro.net import LocalBus, TcpTransport, run_agreement_async
     from repro.trace import (
         Tracer,
@@ -1197,6 +1187,8 @@ def _cmd_chaos(args) -> int:
 
 
 def _cmd_scenarios(args) -> int:
+    from repro.analysis.lowerbounds import run_scenario_triple
+
     below = run_scenario_triple(args.m, args.u, 2 * args.m + args.u)
     above = run_scenario_triple(args.m, args.u, 2 * args.m + args.u + 1)
     print(below.summary())
@@ -1211,6 +1203,8 @@ def _cmd_scenarios(args) -> int:
 
 
 def _cmd_connectivity(args) -> int:
+    from repro.analysis.lowerbounds import connectivity_scenarios
+
     at = connectivity_scenarios(args.m, args.u, args.m + args.u + 1)
     below = connectivity_scenarios(args.m, args.u, args.m + args.u)
     print(f"connectivity {at.connectivity}: "
@@ -1222,6 +1216,9 @@ def _cmd_connectivity(args) -> int:
 
 
 def _cmd_reliability(args) -> int:
+    from repro.analysis import compare_configurations, log_bar_chart
+    from repro.analysis.tables import render_table
+
     points = compare_configurations(args.nodes, args.p_node)
     rows = [
         [f"{p.m}/{p.u}", p.n_nodes, p.p_correct, p.p_safe_degraded, p.p_unsafe]
@@ -1238,6 +1235,9 @@ def _cmd_reliability(args) -> int:
 
 
 def _cmd_complexity(args) -> int:
+    from repro.analysis import byz_complexity, log_bar_chart, om_complexity
+    from repro.analysis.tables import render_table
+
     rows = []
     om = om_complexity(args.u)
     rows.append(["OM", om.n_nodes, om.rounds, om.messages])
@@ -1255,6 +1255,8 @@ def _cmd_complexity(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from repro.analysis.adversary_search import exhaustive_search
+
     n = 2 + args.u + (0 if args.below else 1)
     result = exhaustive_search(args.u, n, stop_at_first=args.below)
     print(f"1/{args.u}-degradable at N={n}: "
@@ -1270,6 +1272,9 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_mission(args) -> int:
+    from repro.analysis import bar_chart
+    from repro.channels import DegradableChannelSystem, MissionSimulator
+
     system = DegradableChannelSystem(m=1, u=2, computation=lambda v: v * 2)
     sim = MissionSimulator(
         system,
@@ -1300,6 +1305,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_clocksync(args) -> int:
     from repro.clocksync.evaluation import evaluate_conjecture
+    from repro.core import DegradableSpec
 
     n = args.nodes if args.nodes is not None else 2 * args.m + args.u + 2
     spec = DegradableSpec(m=args.m, u=args.u, n_nodes=n)

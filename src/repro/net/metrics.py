@@ -192,10 +192,8 @@ class NetMetrics:
     def record_mark(self, round_no: int) -> None:
         self.round(round_no).frames_sent += 1
 
-    def record_batch(
-        self, round_no: int, n_messages: int, nbytes: int, _saved: int = 0
-    ) -> None:
-        """One BATCH frame sent; *_saved* is accepted and ignored.
+    def record_batch(self, round_no: int, n_messages: int, nbytes: int) -> None:
+        """One BATCH frame sent.
 
         What batching saves on the wire is the batched-vs-unbatched byte
         comparison ``repro bench`` reports, not a per-frame estimate.

@@ -5,16 +5,20 @@ Theorem 3 ties m/u-degradable agreement to *network connectivity*: at least
 sufficient).  This module wraps ``networkx`` graphs with the operations the
 experiments need: connectivity computation, vertex cuts (to script the
 Theorem 3 fault scenarios), and vertex-disjoint path discovery (consumed by
-the relay layer in :mod:`repro.sim.routing`).
+the relay layer in :mod:`repro.sim.routing`).  ``networkx`` is imported by
+the methods that call it, so importing the package does not load it.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Hashable, Iterable, List, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import (
+    TYPE_CHECKING, FrozenSet, Hashable, Iterable, List, Sequence, Set, Tuple,
+)
 
 from repro.exceptions import ConfigurationError, RoutingError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 NodeId = Hashable
 
@@ -30,6 +34,7 @@ class Topology:
     """
 
     def __init__(self, graph: nx.Graph) -> None:
+        import networkx as nx
         if graph.number_of_nodes() == 0:
             raise ConfigurationError("topology must contain at least one node")
         self._graph = graph.copy()
@@ -41,6 +46,7 @@ class Topology:
     @classmethod
     def complete(cls, nodes: Sequence[NodeId]) -> "Topology":
         """Fully connected topology (algorithm BYZ's native assumption)."""
+        import networkx as nx
         graph = nx.complete_graph(list(nodes))
         return cls(graph)
 
@@ -48,6 +54,7 @@ class Topology:
     def from_edges(
         cls, nodes: Sequence[NodeId], edges: Iterable[Tuple[NodeId, NodeId]]
     ) -> "Topology":
+        import networkx as nx
         graph = nx.Graph()
         graph.add_nodes_from(nodes)
         for a, b in edges:
@@ -84,6 +91,7 @@ class Topology:
         """
         import random as _random
 
+        import networkx as nx
         if not 0.0 <= edge_probability <= 1.0:
             raise ConfigurationError(
                 f"edge_probability must be in [0, 1], got {edge_probability}"
@@ -121,6 +129,7 @@ class Topology:
         experiments that need connectivity *exactly* ``m + u`` or
         ``m + u + 1``.
         """
+        import networkx as nx
         node_list = list(nodes)
         n = len(node_list)
         if k < 1 or k >= n:
@@ -158,6 +167,7 @@ class Topology:
 
     def connectivity(self) -> int:
         """Vertex connectivity of the graph (0 when disconnected)."""
+        import networkx as nx
         if self.n_nodes == 1:
             return 0
         if not nx.is_connected(self._graph):
@@ -168,12 +178,14 @@ class Topology:
 
     def vertex_cut(self) -> FrozenSet[NodeId]:
         """A minimum vertex cut (the Theorem 3 fault-placement target)."""
+        import networkx as nx
         if self.is_complete():
             raise ConfigurationError("complete graphs have no vertex cut")
         return frozenset(nx.minimum_node_cut(self._graph))
 
     def components_without(self, removed: Set[NodeId]) -> List[Set[NodeId]]:
         """Connected components after deleting *removed* nodes."""
+        import networkx as nx
         remaining = self._graph.subgraph(
             [v for v in self._graph.nodes if v not in removed]
         )
@@ -189,12 +201,9 @@ class Topology:
         contain that many disjoint paths (by Menger's theorem, exactly when
         local connectivity is below *count*).
         """
+        import networkx as nx
         if source == target:
             raise RoutingError("source and target coincide")
-        if self.has_edge(source, target):
-            # node_disjoint_paths handles adjacent pairs, but the direct
-            # link is always one of the paths; keep it first for determinism.
-            pass
         try:
             paths = list(
                 nx.node_disjoint_paths(self._graph, source, target)

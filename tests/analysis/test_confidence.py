@@ -35,6 +35,26 @@ class TestUpperBound:
         ]
         assert bounds == sorted(bounds)
 
+    @pytest.mark.parametrize("n, k, expected", [
+        (10, 1, 0.39416330243650466),
+        (100, 5, 0.1022533776432745),
+        (400, 3, 0.019269229283088177),
+    ])
+    def test_pinned_95_percent_values(self, n, k, expected):
+        assert violation_rate_upper_bound(n, k, 0.95) == pytest.approx(
+            expected, rel=1e-8
+        )
+
+    def test_matches_scipy_beta_quantile(self):
+        stats = pytest.importorskip("scipy.stats")
+        for n in (1, 2, 5, 10, 30, 100, 400, 1000, 10**4, 10**5):
+            for k in range(min(n, 50)):
+                for conf in (0.5, 0.9, 0.95, 0.99, 0.999):
+                    expected = float(stats.beta.ppf(conf, k + 1, n - k))
+                    assert violation_rate_upper_bound(
+                        n, k, conf
+                    ) == pytest.approx(expected, rel=1e-9), (n, k, conf)
+
     def test_all_violations(self):
         assert violation_rate_upper_bound(10, 10) == 1.0
 

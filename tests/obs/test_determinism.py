@@ -117,7 +117,7 @@ class TestFingerprintIsAllInts:
         # ones (outages, latencies, durations, folded instances) that must
         # contribute counts — never seconds — to the fingerprint.
         metrics = NetMetrics(transport="audit")
-        metrics.record_batch(1, 4, 400, 120)
+        metrics.record_batch(1, 4, 400)
         metrics.record_latency(1, 0.004)
         metrics.record_round_duration(1, 0.25)
         metrics.record_timeout(1, "p1", "p2")

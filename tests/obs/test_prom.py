@@ -29,12 +29,12 @@ def build_golden_recorder():
     bus = EventBus()
     metrics.attach_bus(bus)
 
-    metrics.record_batch(1, 4, 400, 120)
+    metrics.record_batch(1, 4, 400)
     metrics.record_send(1, 100)
     metrics.record_latency(1, 0.004)
     metrics.record_latency(1, 0.03)
     metrics.record_round_duration(1, 0.02)
-    metrics.record_batch(2, 4, 380, 110)
+    metrics.record_batch(2, 4, 380)
     metrics.record_round_duration(2, 0.06)
     metrics.record_timeout(2, "p1", "p2")
     metrics.record_retry(2)
